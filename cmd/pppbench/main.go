@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	pppbench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|sac|net|static|throughput|faults|backend|placement]
-//	         [-backend dense|compiled] [-placement spanning|mincost] [-workloads a,b,c]
+//	pppbench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|sac|net|static|throughput|faults|placement]
+//	         [-placement spanning|mincost] [-workloads a,b,c]
 //	         [-par n] [-replicas n] [-faults spec] [-json] [-v] [-cpuprofile f] [-memprofile f]
 //
 // The workload sweep runs on a bounded worker pool (-par, default
@@ -23,17 +23,12 @@
 // -exp faults runs guarded replication under deterministic fault
 // injection (-faults seed=N,kind=panic+stall+overflow[,rate=r]) and
 // reports shard quarantine, lost flow, counter saturation, and merge
-// determinism across worker counts and both VM backends. Also
-// explicit-only: its outcome depends on the requested fault spec.
+// determinism. Also explicit-only: its outcome depends on the
+// requested fault spec.
 //
-// -backend selects the VM execution strategy for the pipeline runs:
-// "dense" (the interpreter, default) or "compiled" (threaded code);
-// every table and figure is identical under either. -exp backend runs
-// the cross-backend smoke: the workload sweep PP-instrumented on both
-// backends at 1 and 8 workers, diffing merged fingerprints (a
-// divergence is a hard failure) and reporting wall clock, speedup, and
-// per-routine compile cost. With -json, the comparison lands in the
-// report's backend_comparison field.
+// Every VM run executes on the translation-validated compiled engine;
+// the dense interpreter is only the reference that tests compare it
+// against.
 //
 // -placement selects the edge-probe placement the suite's pipelines
 // plan under: "spanning" (a counter per CFG transition, default) or
@@ -42,8 +37,8 @@
 // and figure is identical under either. -exp placement runs the
 // spanning-vs-mincost head-to-head: per-workload probe-site counts and
 // modeled overhead for PP/TPP/PPP under both placements, plus the
-// recovery bit-identity check at 1/2/4/8 workers on both backends (a
-// fingerprint divergence is a hard failure). With -json, the
+// recovery bit-identity check at 1/2/4/8 workers (a fingerprint
+// divergence is a hard failure). With -json, the
 // comparison lands in the report's placement_comparison field.
 //
 // Observability: -serve :addr exposes the suite's live telemetry over
@@ -70,7 +65,6 @@ import (
 	"pathprof/internal/instr"
 	srv "pathprof/internal/serve"
 	"pathprof/internal/telemetry"
-	"pathprof/internal/vm"
 	"pathprof/internal/workloads"
 )
 
@@ -78,7 +72,6 @@ import (
 type report struct {
 	Workloads   []string           `json:"workloads"`
 	Parallelism int                `json:"parallelism"`
-	Backend     string             `json:"backend"`
 	Placement   string             `json:"placement"`
 	Experiments []experimentTiming `json:"experiments"`
 	TotalSecs   float64            `json:"total_seconds"`
@@ -87,9 +80,6 @@ type report struct {
 	// (path-profiling ops and edge probe sites) under the selected
 	// placement.
 	StaticOps []bench.StaticOpsRow `json:"static_ops,omitempty"`
-	// Backends holds the dense-vs-compiled comparison (wall clock,
-	// speedup, per-routine compile stats) when -exp backend ran.
-	Backends *bench.BackendReport `json:"backend_comparison,omitempty"`
 	// Placements holds the spanning-vs-mincost probe-placement
 	// head-to-head when -exp placement ran.
 	Placements *bench.PlacementReport `json:"placement_comparison,omitempty"`
@@ -103,8 +93,7 @@ type experimentTiming struct {
 func main() { os.Exit(run()) }
 
 func run() int {
-	exp := flag.String("exp", "all", "experiment to regenerate (all, table1, table2, fig9, fig10, fig11, fig12, fig13, sac, net, static, throughput, faults, backend, placement)")
-	backendName := flag.String("backend", "dense", "VM execution backend for pipeline runs (dense, compiled)")
+	exp := flag.String("exp", "all", "experiment to regenerate (all, table1, table2, fig9, fig10, fig11, fig12, fig13, sac, net, static, throughput, faults, placement)")
 	placementName := flag.String("placement", "spanning", "edge-probe placement for pipeline runs (spanning, mincost)")
 	names := flag.String("workloads", "", "comma-separated subset of workloads (default: all 18)")
 	par := flag.Int("par", 0, "worker pool size for the workload sweep (0 = GOMAXPROCS, 1 = sequential)")
@@ -146,11 +135,6 @@ func run() int {
 		}()
 	}
 
-	backend, err := vm.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
-	}
 	placement, err := instr.ParsePlacement(*placementName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -158,7 +142,6 @@ func run() int {
 	}
 	s := bench.NewSuite()
 	s.Parallelism = *par
-	s.Backend = backend
 	s.Placement = placement
 	if *verbose {
 		s.Log = os.Stderr
@@ -209,16 +192,10 @@ func run() int {
 		{"static", s.StaticReport, false},
 		{"throughput", func(w io.Writer) error { return s.ThroughputReport(w, *replicas) }, true},
 		{"faults", func(w io.Writer) error { return s.FaultsReport(w, *faults, *replicas) }, true},
-		// run functions filled in below; they need access to rep.
-		{"backend", nil, true},
+		// run function filled in below; it needs access to rep.
 		{"placement", nil, true},
 	}
-	rep := report{Parallelism: s.Parallelism, Backend: backend.String(), Placement: placement.String()}
-	all[len(all)-2].run = func(w io.Writer) error {
-		br, err := s.BackendSmoke(w, *replicas)
-		rep.Backends = br
-		return err
-	}
+	rep := report{Parallelism: s.Parallelism, Placement: placement.String()}
 	all[len(all)-1].run = func(w io.Writer) error {
 		pr, err := s.PlacementTable(w, *replicas)
 		rep.Placements = pr

@@ -84,10 +84,7 @@ func FaultGuard(inj *faultinject.Injector, overflowFns []string, tr *telemetry.T
 // collection degrades: surviving replicas, quarantined shards,
 // saturated routines, and whether the degraded merge is reproducible —
 // two runs with the same spec and worker count must produce
-// bit-identical snapshots, and the dense and compiled backends must
-// agree on the degraded merge as well (fault decisions are keyed by
-// replica, so the surviving set is backend-independent). (Across
-// different worker counts the surviving set may legitimately differ:
+// bit-identical snapshots. (Across different worker counts the surviving set may legitimately differ:
 // the quarantine unit is the shard, and shard boundaries move with the
 // worker count.) A run that loses every shard is reported, not fatal:
 // total quarantine is a legitimate degraded outcome.
@@ -124,22 +121,18 @@ func (s *Suite) FaultsReport(w io.Writer, spec string, replicas int) error {
 		survived, lost, saturated := 0, 0, 0
 		merge := "identical"
 		var fps []uint64
-	backends:
-		for _, be := range []vm.Backend{vm.BackendDense, vm.BackendCompiled} {
-			opts.Backend = be
-			for rep := 0; rep < 2; rep++ {
-				rr, rerr := vm.RunReplicated(wr.Staged.Prog, opts, replicas, 4)
-				if rerr != nil {
-					merge = "all shards quarantined"
-					survived, lost = 0, replicas
-					faults = nil
-					break backends
-				}
-				survived, lost = rr.Survivors(), rr.LostReplicas
-				saturated = len(rr.Merged.SaturatedRoutines())
-				faults = rr.Faults
-				fps = append(fps, rr.Merged.Fingerprint())
+		for rep := 0; rep < 2; rep++ {
+			rr, rerr := vm.RunReplicated(wr.Staged.Prog, opts, replicas, 4)
+			if rerr != nil {
+				merge = "all shards quarantined"
+				survived, lost = 0, replicas
+				faults = nil
+				break
 			}
+			survived, lost = rr.Survivors(), rr.LostReplicas
+			saturated = len(rr.Merged.SaturatedRoutines())
+			faults = rr.Faults
+			fps = append(fps, rr.Merged.Fingerprint())
 		}
 		for _, f := range fps {
 			if f != fps[0] {

@@ -13,8 +13,8 @@ import (
 // for one routine under one profiler: inserted path-profiling ops, the
 // edge-counter probe sites the plan's placement implies, and the cost
 // of the static proofs run over the plan — the all-paths verifier
-// (verify.ModeProof) and the compiled backend's translation validation
-// (vm ValidateOn), both in wall-clock microseconds.
+// (verify.ModeProof) and the VM engine's translation validation, both
+// in wall-clock microseconds.
 type StaticOpsRow struct {
 	Workload      string `json:"workload"`
 	Routine       string `json:"routine"`
@@ -30,7 +30,7 @@ type StaticOpsRow struct {
 // rows for pppbench's JSON report, in deterministic order (suite
 // workload order, then routine name, then PP/TPP/PPP). The timing
 // fields are measured here: the proof verifier runs once per plan, and
-// one compiled engine per workload x profiler captures per-routine
+// one engine per workload x profiler captures per-routine
 // translation-validation time.
 func (s *Suite) StaticOpsRows() ([]StaticOpsRow, error) {
 	rs, err := s.RunAll()
@@ -45,10 +45,9 @@ func (s *Suite) StaticOpsRows() ([]StaticOpsRow, error) {
 			eng, err := vm.NewEngine(r.Staged.Prog, vm.Options{
 				Costs: pl.Costs, Entry: pl.Entry, MaxSteps: pl.MaxSteps,
 				Plans: r.Profilers[p].Plans, CollectPaths: true,
-				Backend: vm.BackendCompiled,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%s: compiled engine: %w", r.W.Name, p, err)
+				return nil, fmt.Errorf("bench: %s/%s: engine: %w", r.W.Name, p, err)
 			}
 			validateUs[p] = eng.ValidateUs()
 		}

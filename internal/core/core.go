@@ -58,9 +58,10 @@ type Pipeline struct {
 	// Metrics, if set, receives the VM hot-loop counters from every run
 	// the pipeline performs. Nil is the zero-overhead no-op sink.
 	Metrics *telemetry.VMMetrics
-	// Backend selects the VM execution strategy for every run the
-	// pipeline performs (dense interpreter or compiled threaded code);
-	// both produce identical results, profiles, and cost accounting.
+	// Backend selects the VM engine for every run the pipeline
+	// performs. Leave it zero (the compiled engine); only tests select
+	// the reference interpreter, which produces identical results,
+	// profiles, and cost accounting.
 	Backend vm.Backend
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"pathprof/internal/instr"
 	"pathprof/internal/lower"
+	"pathprof/internal/telemetry"
 )
 
 const allocSrc = `
@@ -35,7 +36,6 @@ func TestCompiledSteadyStateAllocs(t *testing.T) {
 
 	steady := func(t *testing.T, opts Options) {
 		t.Helper()
-		opts.Backend = BackendCompiled
 		e, err := NewEngine(prog, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -60,6 +60,13 @@ func TestCompiledSteadyStateAllocs(t *testing.T) {
 
 	t.Run("profiling", func(t *testing.T) {
 		steady(t, Options{CollectEdges: true, CollectPaths: true})
+	})
+
+	// Installed telemetry: the metric bumps compiled into every
+	// transition write preallocated cells and must not allocate.
+	t.Run("metrics-installed", func(t *testing.T) {
+		m := telemetry.NewVMMetrics(telemetry.NewRegistry(1))
+		steady(t, Options{CollectEdges: true, CollectPaths: true, Metrics: m})
 	})
 
 	t.Run("instrumented", func(t *testing.T) {

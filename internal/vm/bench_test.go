@@ -93,13 +93,18 @@ func BenchmarkRunInstrumented(b *testing.B) {
 	}
 }
 
-// TestSteadyStateTransitionAllocs locks in the pooling win: a run with
-// ~800k steps (200k+ transitions and 500 calls) must allocate only the
-// per-run constant (machine setup, profiles, pooled-frame high-water
-// mark) — nothing proportional to executed transitions.
+// TestSteadyStateTransitionAllocs locks in the dense reference's
+// pooling: a run with ~800k steps (200k+ transitions and 500 calls)
+// must allocate only the per-run constant (machine setup, profiles,
+// pooled-frame high-water mark) — nothing proportional to executed
+// transitions. It is pinned to BackendDense because a whole vm.Run on
+// the compiled engine also counts its one-time closure building; the
+// compiled engine's per-replica zero-alloc contract is
+// TestCompiledSteadyStateAllocs.
 func TestSteadyStateTransitionAllocs(t *testing.T) {
 	prog := hotProgram(t)
-	warm, err := vm.Run(prog, vm.Options{CollectEdges: true, CollectPaths: true})
+	opts := vm.Options{CollectEdges: true, CollectPaths: true, Backend: vm.BackendDense}
+	warm, err := vm.Run(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func TestSteadyStateTransitionAllocs(t *testing.T) {
 		t.Fatalf("workload too small to be a steady-state probe: %d steps", warm.Steps)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := vm.Run(prog, vm.Options{CollectEdges: true, CollectPaths: true}); err != nil {
+		if _, err := vm.Run(prog, opts); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -35,7 +35,6 @@ package compile
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"pathprof/internal/cfg"
 	"pathprof/internal/ir"
@@ -103,15 +102,6 @@ type FuncSpec struct {
 	PoisonCheck bool
 }
 
-// Stat records one routine's compilation: the closure count is the
-// static size of the threaded code.
-type Stat struct {
-	Name     string
-	Blocks   int
-	Closures int
-	Elapsed  time.Duration
-}
-
 // Program is an immutable compiled program, shared across Execs.
 type Program struct {
 	fns        []fnCode
@@ -123,9 +113,6 @@ type Program struct {
 	// the IR terminator and successor spec it was lowered from.
 	prog  *ir.Program
 	specs []FuncSpec
-	// Stats holds per-routine compile time and code size, in function
-	// index order.
-	Stats []Stat
 }
 
 type instrFn func(x *Exec, fr *frame)
@@ -207,38 +194,29 @@ func New(prog *ir.Program, specs []FuncSpec, opts Options) (*Program, error) {
 		prog:       prog,
 		specs:      specs,
 		fns:        make([]fnCode, len(prog.Funcs)),
-		Stats:      make([]Stat, 0, len(prog.Funcs)),
 	}
 	p.arraySizes = make([]int64, len(prog.Arrays))
 	for i, a := range prog.Arrays {
 		p.arraySizes[i] = a.Size
 	}
 	for fi := range prog.Funcs {
-		start := time.Now()
 		c := &comp{prog: prog, opts: &p.opts, spec: &specs[fi]}
 		fc, err := c.compileFunc(fi)
 		if err != nil {
 			return nil, err
 		}
 		p.fns[fi] = fc
-		p.Stats = append(p.Stats, Stat{
-			Name:     prog.Funcs[fi].Name,
-			Blocks:   len(fc.blocks),
-			Closures: c.closures,
-			Elapsed:  time.Since(start),
-		})
 	}
 	return p, nil
 }
 
 // comp compiles one function.
 type comp struct {
-	prog     *ir.Program
-	opts     *Options
-	spec     *FuncSpec
-	fname    string
-	closures int
-	memoN    int
+	prog  *ir.Program
+	opts  *Options
+	spec  *FuncSpec
+	fname string
+	memoN int
 	// reads[r] counts reads of register r across the whole function
 	// (operands, call arguments, branch conditions, return values).
 	// Registers are invisible outside a run, so a fused constant whose
@@ -405,7 +383,6 @@ func (c *comp) fuseRun(instrs []ir.Instr) instrFn {
 	}
 	if len(instrs) >= microMin {
 		if ms := c.lowerMicros(instrs); ms != nil {
-			c.closures += len(ms)
 			return microExec(ms)
 		}
 	}
@@ -425,7 +402,6 @@ func (c *comp) fuseRun(instrs []ir.Instr) instrFn {
 		}
 		fns = append(fns, c.instrClosure(&instrs[i]))
 	}
-	c.closures += len(fns)
 	return seqN(fns)
 }
 
@@ -715,13 +691,11 @@ func (c *comp) fuseCond(instrs []ir.Instr, cond int) (condFn, int) {
 		if a := &instrs[n-2]; a.Op == ir.Const && last.B == a.Dst {
 			wt := c.reads[a.Dst] > 1
 			if f := condCmpConst(last.Op, a.Dst, a.Imm, last.Dst, last.A, wt, wd); f != nil {
-				c.closures++
 				return f, 2
 			}
 		}
 	}
 	if f := condCmp(last.Op, last.Dst, last.A, last.B, wd); f != nil {
-		c.closures++
 		return f, 1
 	}
 	return nil, 0

@@ -127,7 +127,6 @@ func (c *comp) lowerSingleCount(ops []planir.Op, ci int) lowered {
 		cost: int64(len(ops)-1)*costs.RegOp + countCost,
 		n:    int64(len(ops)),
 	}
-	c.closures++
 	switch {
 	case c.spec.Hash && c.opts.Telemetry:
 		lo.fn = func(x *Exec, fr *frame) {
@@ -163,7 +162,6 @@ func (c *comp) lowerGeneric(ops []planir.Op) lowered {
 	stream := append([]planir.Op(nil), ops...)
 	hash, poison := c.spec.Hash, c.spec.PoisonCheck
 	tel := c.opts.Telemetry
-	c.closures++
 	fn := func(x *Exec, fr *frame) {
 		t := fr.ft.Table
 		for _, op := range stream {
@@ -231,7 +229,6 @@ func (c *comp) compileTerm(fc *fnCode, bi int, t *ir.Term, cond condFn) termFn {
 		f0 := c.mkSucc(fc, bi, &c.spec.Succs[bi][0])
 		f1 := c.mkSucc(fc, bi, &c.spec.Succs[bi][1])
 		bc.arms[0], bc.arms[1] = f0, f1
-		c.closures++
 		if cond != nil {
 			//ppp:hotpath
 			return func(x *Exec, fr *frame) *blockCode {
@@ -261,7 +258,6 @@ func (c *comp) mkRet(t *ir.Term) termFn {
 	retReg := t.Ret
 	name := c.fname
 	tel, hooks := c.opts.Telemetry, c.opts.PathHooks
-	c.closures++
 	if !c.opts.CollectPaths {
 		return func(x *Exec, fr *frame) *blockCode {
 			x.steps++
@@ -333,7 +329,6 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 		stepsC, baseC, icostC, rm, ra = sc.Steps, sc.Base, sc.ICost, sc.Mask, sc.Add
 		hasFold = rm != -1 || ra != 0
 	}
-	c.closures++
 
 	if !c.opts.CollectPaths {
 		if !c.opts.Telemetry {

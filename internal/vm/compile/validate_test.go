@@ -58,7 +58,6 @@ func buildValidated(t *testing.T, opts vm.Options) (*vm.Engine, *vm.Result) {
 		}
 		plans[f.Name] = p
 	}
-	opts.Backend = vm.BackendCompiled
 	opts.Plans = plans
 	eng, err := vm.NewEngine(prog, opts)
 	if err != nil {
@@ -93,7 +92,7 @@ func TestValidatePasses(t *testing.T) {
 			eng, res := buildValidated(t, sh.opts)
 			us := eng.ValidateUs()
 			if len(us) == 0 {
-				t.Fatal("engine reports no validation timings; ValidateOn should be the default")
+				t.Fatal("engine reports no validation timings; every engine build validates")
 			}
 			for fn, v := range us {
 				if v < 0 {
@@ -101,7 +100,7 @@ func TestValidatePasses(t *testing.T) {
 				}
 			}
 			if res.ValidateUs == nil {
-				t.Error("Result.ValidateUs not populated on the compiled backend")
+				t.Error("Result.ValidateUs not populated")
 			}
 		})
 	}
@@ -128,7 +127,7 @@ func TestValidateDetectsMutation(t *testing.T) {
 			}
 			site := mu.arm(7)
 			defer compile.ClearMutateSucc()
-			_, err = vm.NewEngine(prog, vm.Options{Backend: vm.BackendCompiled, CollectPaths: true})
+			_, err = vm.NewEngine(prog, vm.Options{CollectPaths: true})
 			if err == nil {
 				t.Fatalf("mutated lowering (%s at %s %d->%d) passed translation validation",
 					mu.name, site.Fn, site.From, site.To)
@@ -148,26 +147,5 @@ func TestValidateDetectsMutation(t *testing.T) {
 				t.Errorf("error %q does not name the routine %q", err, site.Fn)
 			}
 		})
-	}
-}
-
-// TestValidateOff proves the gate: the same mutated lowering builds
-// fine with ValidateOff (and would silently miscount, which is the
-// point of having validation on by default).
-func TestValidateOff(t *testing.T) {
-	prog, err := lower.Compile(validateSrc, lower.Options{})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	compile.MutateFirstSuccBase(7)
-	defer compile.ClearMutateSucc()
-	eng, err := vm.NewEngine(prog, vm.Options{
-		Backend: vm.BackendCompiled, CollectPaths: true, Validate: vm.ValidateOff,
-	})
-	if err != nil {
-		t.Fatalf("ValidateOff engine build failed: %v", err)
-	}
-	if eng.ValidateUs() != nil {
-		t.Error("ValidateOff engine reports validation timings")
 	}
 }

@@ -2,10 +2,13 @@ package vm_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"pathprof/internal/faultinject"
 	"pathprof/internal/instr"
 	"pathprof/internal/ir"
+	"pathprof/internal/profile"
 	"pathprof/internal/telemetry"
 	"pathprof/internal/vm"
 )
@@ -358,35 +361,73 @@ func FuzzCompiledVsInterp(f *testing.F) {
 
 // TestCompiledReplicatedWorkers sweeps sharded replication across
 // worker counts on generated programs: every (backend, workers) cell
-// must merge to one fingerprint.
+// must merge to one fingerprint. The guarded input injects the faults
+// pppbench -exp faults injects by default (pre-run panics, counter
+// overflow, keyed by replica). Its surviving set moves with the worker
+// count, because the quarantine unit is the shard, so there each
+// worker count must agree across backends: same survivors, same fault
+// list, same merged fingerprint.
 func TestCompiledReplicatedWorkers(t *testing.T) {
 	seeds := [][]byte{
 		{3, 141, 59, 26, 53, 58, 97, 93},
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
 		{255, 17, 4, 4, 4, 80, 200, 33},
 	}
+	inj, err := faultinject.Parse("seed=1,kind=panic+overflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard := &vm.GuardConfig{
+		ReplicaRetries: 2,
+		FaultHook: func(ctx vm.FaultContext) error {
+			site := uint64(ctx.Replica)
+			if inj.Hit(faultinject.Panic, site*4+uint64(ctx.Attempt)) {
+				panic(fmt.Sprintf("injected panic: replica %d attempt %d", ctx.Replica, ctx.Attempt))
+			}
+			if ctx.Attempt == 0 && inj.Hit(faultinject.Overflow, site) {
+				ep := ctx.Sink.EdgeProfile("main")
+				ep.Add(0, 1, profile.CounterMax)
+				ep.Add(0, 1, 1)
+			}
+			return nil
+		},
+	}
+	faulted := 0
 	for si, data := range seeds {
 		prog := genProg(data)
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("seed %d invalid: %v", si, err)
 		}
-		opts := vm.Options{CollectEdges: true, CollectPaths: true}
-		var want uint64
-		haveWant := false
-		for _, be := range []vm.Backend{vm.BackendDense, vm.BackendCompiled} {
-			opts.Backend = be
+		for _, g := range []*vm.GuardConfig{nil, guard} {
+			opts := vm.Options{CollectEdges: true, CollectPaths: true, Guard: g}
+			var want string
 			for _, par := range []int{1, 2, 4, 8} {
-				rr, err := vm.RunReplicated(prog, opts, 16, par)
-				if err != nil {
-					t.Fatalf("seed %d %s w=%d: %v", si, be, par, err)
+				if g != nil {
+					want = ""
 				}
-				fp := rr.Merged.Fingerprint()
-				if !haveWant {
-					want, haveWant = fp, true
-				} else if fp != want {
-					t.Errorf("seed %d %s w=%d: fingerprint %#x, want %#x", si, be, par, fp, want)
+				for _, be := range []vm.Backend{vm.BackendDense, vm.BackendCompiled} {
+					opts.Backend = be
+					rr, err := vm.RunReplicated(prog, opts, 16, par)
+					var got string
+					switch {
+					case err != nil && g == nil:
+						t.Fatalf("seed %d %s w=%d: %v", si, be, par, err)
+					case err != nil:
+						got = err.Error()
+					default:
+						got = fmt.Sprintf("%#x survivors=%d %v", rr.Merged.Fingerprint(), rr.Survivors(), rr.Faults)
+						faulted += len(rr.Faults)
+					}
+					if want == "" {
+						want = got
+					} else if got != want {
+						t.Errorf("seed %d guarded=%v %s w=%d: %s, want %s", si, g != nil, be, par, got, want)
+					}
 				}
 			}
 		}
+	}
+	if faulted == 0 {
+		t.Error("no guarded run quarantined a shard; the fault input is vacuous")
 	}
 }

@@ -3,6 +3,7 @@ package vm_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -261,5 +262,20 @@ func BenchmarkRunReplicated(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestForeignSlotSinkRejected gives a run a sink whose edge profile
+// already registered a slot the engine did not number. Both backends
+// must refuse it rather than count into the wrong slots.
+func TestForeignSlotSinkRejected(t *testing.T) {
+	prog := compile(t, replSrc, lower.Options{})
+	for _, be := range []vm.Backend{vm.BackendDense, vm.BackendCompiled} {
+		shard := profile.NewCollector(1).Shard(0)
+		shard.EdgeProfile("work").Slot(99, 100)
+		_, err := vm.Run(prog, vm.Options{CollectEdges: true, Sink: shard, Backend: be})
+		if err == nil || !strings.Contains(err.Error(), "foreign slot order") {
+			t.Errorf("%s: err = %v, want a foreign-slot rejection", be, err)
+		}
 	}
 }

@@ -102,12 +102,14 @@ func TestReplicatedMetricsFoldAcrossWorkers(t *testing.T) {
 // TestRunAllocsWithMetricsInstalled extends the steady-state allocation
 // budget to the installed-sink path: per-transition metric bumps must
 // not allocate, so a metered run stays within the same per-run constant
-// as a bare one.
+// as a bare one. Like TestSteadyStateTransitionAllocs it measures the
+// dense reference; the compiled engine's metered zero-alloc contract is
+// TestCompiledSteadyStateAllocs/metrics-installed.
 func TestRunAllocsWithMetricsInstalled(t *testing.T) {
 	prog := hotProgram(t)
 	reg := telemetry.NewRegistry(1)
 	m := telemetry.NewVMMetrics(reg)
-	opts := vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m}
+	opts := vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m, Backend: vm.BackendDense}
 	if _, err := vm.Run(prog, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,14 @@
 // suspend the caller's path), which the evaluation uses as the actual
 // path profile that PP would measure.
 //
-// The interpreter is built for throughput: prepare compiles every
-// block terminator into a dense successor table (per-transition state
-// is a slice index away, with no map lookups on the hot path), frames
-// and their register/path slices are pooled across calls, and edge
-// counts go to dense profile slots. A steady-state transition performs
-// zero allocations.
+// Programs execute as translation-validated threaded code
+// (internal/vm/compile). The dense-dispatch interpreter in this file
+// is the reference semantics that code is tested against
+// (BackendDense): prepare compiles every block terminator into a dense
+// successor table (per-transition state is a slice index away, with no
+// map lookups), frames and their register/path slices are pooled
+// across calls, and edge counts go to dense profile slots, so it too
+// performs zero allocations per steady-state transition.
 package vm
 
 import (
@@ -127,30 +129,12 @@ type Options struct {
 	// shard quarantines); TraceUnit labels them.
 	Trace     *telemetry.Trace
 	TraceUnit string
-	// Backend selects the execution engine: BackendDense (the default)
-	// interprets over dense successor tables; BackendCompiled runs
-	// threaded code specialized per routine (internal/vm/compile). The
-	// two produce bit-identical results, profiles, and modeled costs.
+	// Backend selects the execution engine. Leave it zero
+	// (BackendCompiled); BackendDense runs the reference interpreter
+	// that tests compare the compiled engine against. The two produce
+	// bit-identical results, profiles, and modeled costs.
 	Backend Backend
-	// Validate gates translation validation of the compiled backend:
-	// at engine-build time every compiled routine is symbolically
-	// driven against the spec it was lowered from and proven
-	// effect-equivalent (compile.Validate). On by default (the zero
-	// value) so tests and CI always run it; production paths that
-	// rebuild engines in a loop can opt out with ValidateOff.
-	Validate ValidateMode
 }
-
-// ValidateMode gates compiled-backend translation validation.
-type ValidateMode int8
-
-const (
-	// ValidateOn (the zero value) proves every compiled routine
-	// equivalent to its spec when the engine is built.
-	ValidateOn ValidateMode = iota
-	// ValidateOff skips translation validation.
-	ValidateOff
-)
 
 // Result is the outcome of a run.
 type Result struct {
@@ -166,9 +150,9 @@ type Result struct {
 	// callers can interpret the recorded paths (branch counts etc.).
 	DAGs map[string]*cfg.DAG
 	// ValidateUs reports per-routine translation-validation wall time
-	// in microseconds (compiled backend with ValidateOn only; nil
-	// otherwise). It is engine-build work, surfaced on the Result so
-	// reporting tools can attribute it.
+	// in microseconds (nil under the dense reference). It is
+	// engine-build work, surfaced on the Result so reporting tools can
+	// attribute it.
 	ValidateUs map[string]int64
 }
 
